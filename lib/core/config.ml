@@ -11,7 +11,6 @@ type t = {
   chain : bool;
   trace_threshold : int;
   jit_threshold : int;
-  sync_compile : bool;
 }
 
 let qemu =
@@ -25,7 +24,6 @@ let qemu =
     chain = true;
     trace_threshold = 0;
     jit_threshold = 0;
-    sync_compile = true;
   }
 
 let no_fences = { qemu with name = "no-fences"; fences = No_fences }

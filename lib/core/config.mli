@@ -41,14 +41,8 @@ type t = {
           translation, exactly the pre-tiered behaviour.  With [n > 0],
           fresh blocks run on the TCG interpreter and a backend compile
           is requested only once the block's execution count reaches
-          [n]. *)
-  sync_compile : bool;
-      (** [true] (the default in all presets): compile requests run
-          inline on the execution thread — fully deterministic.
-          [false]: requests go to the background install service
-          ({!Parallel.Pool.service}) and the thread keeps interpreting
-          until the compiled TB is published.  Only meaningful when
-          [jit_threshold > 0]. *)
+          [n]; the compile runs inline on the execution thread, so
+          the ladder is deterministic. *)
 }
 
 (** Vanilla Qemu 6.1.0. *)

@@ -15,12 +15,6 @@ let m_fallbacks = lazy (Obs.Metrics.counter "engine.interp_fallbacks")
 let m_traps = lazy (Obs.Metrics.counter "engine.traps")
 let m_superblocks = lazy (Obs.Metrics.counter "engine.superblocks")
 
-(* Tier-lifecycle latency: how long a block waited from compile request
-   to publication, and how long its finished result sat in the
-   completion queue before the execution thread applied it. *)
-let m_req_to_publish = lazy (Obs.Metrics.histogram "tier.request_to_publish.ns")
-let m_install_queue = lazy (Obs.Metrics.histogram "tier.install_queue.ns")
-
 type stats = {
   mutable blocks_translated : int;
   mutable blocks_executed : int;  (** dispatches through the execute loop *)
@@ -49,31 +43,11 @@ type stats = {
   mutable deopts : int;
       (** superblocks demoted back to tier-1 TBs on side-exit-rate
           regression *)
-  mutable installs_dropped : int;
-      (** compile results discarded by the generation check (reset /
-          cache reload raced an in-flight install) *)
-  mutable install_hwm : int;
-      (** install-queue depth high-water mark *)
 }
 
 (* How the block at a pc executes: natively, or on the TCG interpreter
    because the backend could not compile it (or has not yet — tier 0). *)
 type compiled = Native of Arm.Insn.t array | Interp_only of Tcg.Block.t
-
-(* A finished compile request travelling back from the background
-   domain to the execution thread.  [i_gen] is the chain generation the
-   request was made under: a reset or cache reload in between bumps the
-   generation and the install is dropped, the same invalidation
-   discipline Tbchain applies to patched edges and jump caches. *)
-type install = {
-  i_pc : int64;
-  i_gen : int;
-  i_result : (Arm.Insn.t array, Fault.t) result;
-  i_req_us : float;
-      (* request wall-clock (µs), 0. when metrics were off at request
-         time so latency observation stays metered *)
-  i_done_us : float;  (* completion-queue push wall-clock (µs), or 0. *)
-}
 
 type t = {
   config : Config.t;
@@ -91,18 +65,9 @@ type t = {
   stats : stats;
   pending_spawns : (int * int64 * int64) Queue.t;  (* tid, entry, arg *)
   next_tid : int ref;
-  install_service : Parallel.Pool.service option;
-      (* background compile domains; None when this engine compiles
-         synchronously *)
-  completions : install Queue.t;  (* guarded by [completions_m] *)
-  completions_m : Mutex.t;
-  completions_n : int Atomic.t;
-      (* pushed count minus applied count; the dispatch loop's one-load
-         "anything to publish?" probe.  Incremented after the push, so
-         a positive value guarantees a non-empty queue. *)
   flight : Obs.Flight.t;
       (* engine-wide flight ring: tier publishes, superblocks, deopts,
-         install drops — lifecycle events not owned by one thread *)
+         fence passes — lifecycle events not owned by one thread *)
   ledgers : (int64, Tcg.Fence_ledger.t) Hashtbl.t;
       (* per-block fence provenance, keyed by guest pc *)
   mutable guest_threads : guest_thread list;
@@ -124,16 +89,7 @@ and guest_thread = {
   gflight : Obs.Flight.t;  (* this thread's flight ring (single writer) *)
 }
 
-(* One process-wide background translation service, spawned lazily by
-   the first async-tiered engine and shared by all of them: OCaml
-   domains are a bounded resource (and every live domain joins each
-   stop-the-world minor collection), so engines must not spawn one
-   each.  Each compile job publishes into its own engine's completion
-   queue, so sharing the workers shares nothing else. *)
-let default_install_service =
-  lazy (Parallel.Pool.service_create ~workers:1 ())
-
-let create ?cost ?idl ?install_service config image =
+let create ?cost ?idl config image =
   (* Default IDL: everything the host library provides (when the linker
      is enabled).  Pass [~idl:[]] explicitly to link nothing. *)
   let idl =
@@ -157,17 +113,7 @@ let create ?cost ?idl ?install_service config image =
       Queue.push (tid, entry, arg) pending_spawns;
       Int64.of_int tid)
     ~inject shared;
-  let install_service =
-    (* Resolve (and lazily spawn) workers only when this config can
-       actually submit: sync engines must stay domain-free. *)
-    if config.Config.sync_compile || config.Config.jit_threshold = 0 then None
-    else
-      Some
-        (match install_service with
-        | Some s -> s
-        | None -> Lazy.force default_install_service)
-  in
-  let t = {
+  {
     config;
     image;
     links;
@@ -198,23 +144,15 @@ let create ?cost ?idl ?install_service config image =
         interp_execs = 0;
         tier1_installed = 0;
         deopts = 0;
-        installs_dropped = 0;
-        install_hwm = 0;
       };
     pending_spawns;
     next_tid;
-    install_service;
-    completions = Queue.create ();
-    completions_m = Mutex.create ();
-    completions_n = Atomic.make 0;
     flight = Obs.Flight.create ();
     ledgers = Hashtbl.create 1024;
     guest_threads = [];
     postmortem_dir = None;
     postmortems_written = 0;
   }
-  in
-  t
 
 let config t = t.config
 let memory t = t.mem
@@ -235,29 +173,48 @@ let chain_generation t = Tbchain.generation t.tbs
 let chained_edges t = Tbchain.edge_count t.tbs
 let stack_top tid = Int64.sub 0x8000_0000L (Int64.of_int (tid * 0x10000))
 
-(* Drop every completion still queued (without waiting for in-flight
-   background jobs: their results arrive stamped with the pre-bump
-   generation and die at the apply-side check). *)
-let discard_pending_installs t =
-  Mutex.lock t.completions_m;
-  let dropped = Queue.length t.completions in
-  Queue.clear t.completions;
-  Mutex.unlock t.completions_m;
-  if dropped > 0 then begin
-    ignore (Atomic.fetch_and_add t.completions_n (-dropped));
-    t.stats.installs_dropped <- t.stats.installs_dropped + dropped;
-    Obs.Metrics.add (Lazy.force Tier.m_installs_dropped) dropped
-  end
-
 let reset t =
   Obs.Trace.instant ~cat:"engine" "reset";
-  (* Order matters: discard queued installs first, then bump the
-     generation via flush, so anything a background domain publishes
-     after this point is stale by construction.  Per-block tier
-     profiles die with their nodes. *)
-  discard_pending_installs t;
+  (* Per-block tier profiles die with their nodes. *)
   Tbchain.flush t.tbs;
   Hashtbl.reset t.tcg_cache
+
+(* Backend-compile one optimized block, on the execution thread.  A
+   failure (real or injected) demotes the block to the TCG interpreter:
+   the run keeps its semantics (the interpreter and backend agree by
+   construction), only this block's speed is lost. *)
+let compile t pc tcg =
+  let compiled =
+    if Inject.fire t.inject Inject.Compile then
+      Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
+    else
+      match
+        Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
+            Obs.Profile.time (Lazy.force m_compile_ns) (fun () ->
+                Backend.compile t.config tcg))
+      with
+      | code -> Ok code
+      | exception Fault.Fault f -> Error (Fault.locate ~pc f)
+      | exception Backend.Register_pressure p ->
+          Error
+            (Fault.make ~pc Fault.Backend_fault
+               (Printf.sprintf "register pressure in block 0x%Lx" p))
+  in
+  match compiled with
+  | Ok code ->
+      t.stats.fences_emitted <-
+        t.stats.fences_emitted
+        + Array.fold_left
+            (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
+            0 code;
+      Native code
+  | Error f ->
+      Log.warn (fun m ->
+          m "tb@0x%Lx: backend failed (%s); falling back to interpreter" pc
+            (Fault.to_string f));
+      t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
+      Obs.Metrics.incr (Lazy.force m_fallbacks);
+      Interp_only tcg
 
 let translate t pc =
   Obs.Trace.with_span ~cat:"engine"
@@ -290,42 +247,7 @@ let translate t pc =
        its execution count crosses the threshold. *)
     Tbchain.insert t.tbs pc (Interp_only optimized)
   else begin
-    let compiled =
-      if Inject.fire t.inject Inject.Compile then
-        Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
-      else
-        match
-          Obs.Trace.with_span ~cat:"engine" "backend" (fun () ->
-              Obs.Profile.time (Lazy.force m_compile_ns) (fun () ->
-                  Backend.compile t.config optimized))
-        with
-        | code -> Ok code
-        | exception Fault.Fault f -> Error (Fault.locate ~pc f)
-        | exception Backend.Register_pressure p ->
-            Error
-              (Fault.make ~pc Fault.Backend_fault
-                 (Printf.sprintf "register pressure in block 0x%Lx" p))
-    in
-    let body =
-      match compiled with
-      | Ok code ->
-          t.stats.fences_emitted <-
-            t.stats.fences_emitted
-            + Array.fold_left
-                (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
-                0 code;
-          Native code
-      | Error f ->
-          (* Degraded mode: the block stays on the TCG interpreter.  The
-             run keeps its semantics (the interpreter and backend agree by
-             construction), only this block's speed is lost. *)
-          Log.warn (fun m ->
-              m "tb@0x%Lx: backend failed (%s); falling back to interpreter" pc
-                (Fault.to_string f));
-          t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
-          Obs.Metrics.incr (Lazy.force m_fallbacks);
-          Interp_only optimized
-    in
+    let body = compile t pc optimized in
     let n = Tbchain.insert t.tbs pc body in
     n.Tbchain.tier.Tier.state <-
       (match body with
@@ -334,150 +256,36 @@ let translate t pc =
     n
   end
 
-(* ------------------------------------------------------------------ *)
-(* Tier 1: the async install queue.  The execution thread enqueues
-   compile jobs (capturing the immutable optimized TCG block, the
-   config, and the chain generation at request time); a background
-   service domain runs the pure [Backend.compile] and pushes the result
-   into [completions]; the execution thread publishes it into the chain
-   table between dispatches.  The background domain never touches the
-   engine's tables — publication is single-writer, and the
-   mutex-protected queue plus the post-push atomic increment are the
-   release/acquire pair that makes the compiled code array safely
-   visible (see DESIGN.md, "tier ladder"). *)
-
-let apply_install t inst =
-  let stale () =
-    t.stats.installs_dropped <- t.stats.installs_dropped + 1;
-    Obs.Flight.record t.flight Obs.Flight.Install_drop inst.i_pc inst.i_gen;
-    Obs.Metrics.incr (Lazy.force Tier.m_installs_dropped)
-  in
-  (* Lifecycle latency is metered end-to-end: observe only when the
-     request was stamped (metrics on at request time) and metrics are
-     still on now. *)
-  let observe_latency () =
-    if inst.i_req_us > 0. && Obs.Metrics.enabled () then begin
-      let now = Obs.Profile.now_us () in
-      Obs.Metrics.observe
-        (Lazy.force m_req_to_publish)
-        (int_of_float ((now -. inst.i_req_us) *. 1e3));
-      if inst.i_done_us > 0. then
-        Obs.Metrics.observe
-          (Lazy.force m_install_queue)
-          (int_of_float ((now -. inst.i_done_us) *. 1e3))
-    end
-  in
-  if inst.i_gen <> Tbchain.generation t.tbs then stale ()
-  else
-    match Tbchain.find t.tbs inst.i_pc with
-    | Some node when node.Tbchain.tier.Tier.state = Tier.Queued -> (
-        match inst.i_result with
-        | Ok code ->
-            node.Tbchain.body <- Native code;
-            (* A superblock can only exist over a Native body, so with
-               state Queued the active translation is the body. *)
-            node.Tbchain.active <- node.Tbchain.body;
-            node.Tbchain.tier.Tier.state <- Tier.Published;
-            t.stats.fences_emitted <-
-              t.stats.fences_emitted
-              + Array.fold_left
-                  (fun n i -> match i with Arm.Insn.Dmb _ -> n + 1 | _ -> n)
-                  0 code;
-            t.stats.tier1_installed <- t.stats.tier1_installed + 1;
-            Obs.Flight.record t.flight Obs.Flight.Tier_published inst.i_pc
-              inst.i_gen;
-            observe_latency ();
-            Obs.Trace.instant ~cat:"engine"
-              ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" inst.i_pc) ])
-              "tier-publish";
-            Obs.Metrics.incr (Lazy.force Tier.m_installs);
-            Log.debug (fun m ->
-                m "tb@0x%Lx: tier-1 TB published (%d host insns)" inst.i_pc
-                  (Array.length code))
-        | Error f ->
-            node.Tbchain.tier.Tier.state <- Tier.Degraded;
-            Obs.Flight.record t.flight Obs.Flight.Tier_degraded inst.i_pc
-              inst.i_gen;
-            t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
-            Obs.Metrics.incr (Lazy.force m_fallbacks);
-            Obs.Metrics.incr (Lazy.force Tier.m_install_failures);
-            Log.warn (fun m ->
-                m "tb@0x%Lx: background compile failed (%s); staying on \
-                   interpreter"
-                  inst.i_pc (Fault.to_string f)))
-    | Some _ | None ->
-        (* Same generation but the node was dropped or re-seeded
-           (e.g. a cache reload re-inserted it): the request no longer
-           describes the block. *)
-        stale ()
-
-let apply_completions t =
-  if Atomic.get t.completions_n > 0 then begin
-    Mutex.lock t.completions_m;
-    let k = Queue.length t.completions in
-    let items = List.init k (fun _ -> Queue.pop t.completions) in
-    Mutex.unlock t.completions_m;
-    ignore (Atomic.fetch_and_add t.completions_n (-k));
-    if k > t.stats.install_hwm then t.stats.install_hwm <- k;
-    List.iter (apply_install t) items
-  end
-
-let request_compile t node =
+(* Tier 0 -> 1: the block proved hot, so compile it now, inline, and
+   publish the native TB in place of its interpreter body.  A superblock
+   can only exist over a Native body, so the active translation is the
+   body here. *)
+let promote t node =
   match node.Tbchain.body with
   | Native _ -> ()
-  | Interp_only tcg ->
-      let p = node.Tbchain.tier in
-      p.Tier.state <- Tier.Queued;
-      Obs.Metrics.incr (Lazy.force Tier.m_requests);
+  | Interp_only tcg -> (
       let pc = node.Tbchain.pc in
+      let p = node.Tbchain.tier in
+      Obs.Metrics.incr (Lazy.force Tier.m_requests);
       let gen = Tbchain.generation t.tbs in
-      Obs.Flight.record t.flight Obs.Flight.Tier_queued pc gen;
-      let req_us = if Obs.Metrics.enabled () then Obs.Profile.now_us () else 0. in
-      (* Fault injection is stateful: fire on the execution thread at
-         enqueue time, so a plan's Nth/Seeded counters stay
-         deterministic however the background domain schedules. *)
-      let injected = Inject.fire t.inject Inject.Compile in
-      let config = t.config in
-      let job () =
-        let result =
-          if injected then
-            Error (Fault.make ~pc Fault.Backend_fault "injected compile fault")
-          else
-            match Backend.compile config tcg with
-            | code -> Ok code
-            | exception Fault.Fault f -> Error (Fault.locate ~pc f)
-            | exception Backend.Register_pressure p' ->
-                Error
-                  (Fault.make ~pc Fault.Backend_fault
-                     (Printf.sprintf "register pressure in block 0x%Lx" p'))
-        in
-        let done_us = if req_us > 0. then Obs.Profile.now_us () else 0. in
-        Mutex.lock t.completions_m;
-        Queue.push
-          { i_pc = pc; i_gen = gen; i_result = result; i_req_us = req_us;
-            i_done_us = done_us }
-          t.completions;
-        Mutex.unlock t.completions_m;
-        Atomic.incr t.completions_n
-      in
-      (match t.install_service with
-      | Some svc when not t.config.Config.sync_compile ->
-          Parallel.Pool.service_submit svc job;
-          let depth = Parallel.Pool.service_pending svc in
-          if depth > t.stats.install_hwm then t.stats.install_hwm <- depth
-      | Some _ | None ->
-          (* The determinism escape hatch ([sync_compile]): same
-             request/publish path, run to completion inline. *)
-          job ();
-          apply_completions t)
-
-(* Wait for every in-flight background compile, then publish (or drop)
-   the results.  No-op for synchronous engines. *)
-let drain_installs t =
-  (match t.install_service with
-  | Some svc -> Parallel.Pool.service_drain svc
-  | None -> ());
-  apply_completions t
+      match compile t pc tcg with
+      | Native code as body ->
+          node.Tbchain.body <- body;
+          node.Tbchain.active <- body;
+          p.Tier.state <- Tier.Published;
+          t.stats.tier1_installed <- t.stats.tier1_installed + 1;
+          Obs.Flight.record t.flight Obs.Flight.Tier_published pc gen;
+          Obs.Trace.instant ~cat:"engine"
+            ~args:(fun () -> [ ("pc", Printf.sprintf "0x%Lx" pc) ])
+            "tier-publish";
+          Obs.Metrics.incr (Lazy.force Tier.m_installs);
+          Log.debug (fun m ->
+              m "tb@0x%Lx: tier-1 TB published (%d host insns)" pc
+                (Array.length code))
+      | Interp_only _ ->
+          p.Tier.state <- Tier.Degraded;
+          Obs.Flight.record t.flight Obs.Flight.Tier_degraded pc gen;
+          Obs.Metrics.incr (Lazy.force Tier.m_install_failures))
 
 let fetch t pc =
   t.stats.lookups <- t.stats.lookups + 1;
@@ -555,7 +363,6 @@ let fault_of_machine_trap pc = function
 
 let state_name = function
   | Tier.Cold -> "cold"
-  | Tier.Queued -> "queued"
   | Tier.Published -> "published"
   | Tier.Degraded -> "degraded"
 
@@ -807,10 +614,6 @@ let exec t g = function
    avoided for, with [chain_hits]/[jmp_cache_hits] recording which fast
    path served them. *)
 let dispatch t g =
-  (* Publish any finished background compiles first: one atomic load on
-     the fast path, and the thread that requested a block is usually
-     the next one to run it. *)
-  if Atomic.get t.completions_n > 0 then apply_completions t;
   t.stats.lookups <- t.stats.lookups + 1;
   let gen = Tbchain.generation t.tbs in
   match g.next_tb with
@@ -854,9 +657,9 @@ let trace_limit = 8
    static successor (the only seams [Tcg.Block.concat] can stitch —
    computed jumps never qualify because they dilute dominance through
    the profile's [other] bucket).  Revisits are allowed, so a self-loop
-   unrolls.  This replaces [Tbchain.hottest_path]'s static hottest-edge
-   walk: edges only exist where chaining happened to patch them,
-   whereas the profile sees every observed exit. *)
+   unrolls.  The profile, not the patched chain edges, picks the path:
+   edges only exist where chaining happened to patch them, whereas the
+   profile sees every observed exit. *)
 let profile_path t head ~limit =
   let rec go acc n k =
     if k = 0 then List.rev acc
@@ -870,9 +673,8 @@ let profile_path t head ~limit =
   in
   go [ head ] head (limit - 1)
 
-(* [`Not_ready] is retryable (a member of the path is still cold or
-   untranslated — common under async tier 1); [`Failed] latches
-   [no_super]. *)
+(* [`Not_ready] is retryable (a member of the path is still on tier 0
+   or untranslated); [`Failed] latches [no_super]. *)
 let form_superblock t head =
   let path = profile_path t head ~limit:trace_limit in
   let tcg_of n =
@@ -977,14 +779,12 @@ let step_block t g =
           t.stats.blocks_executed <- t.stats.blocks_executed + 1;
           node.Tbchain.exec_count <- node.Tbchain.exec_count + 1;
           let p = node.Tbchain.tier in
-          (* Tier 0 -> 1: request the backend compile once the block
-             proves hot.  [Cold] implies an interpreter body, so the
-             check is two loads on the (sync-preset) fast path. *)
+          (* Tier 0 -> 1: compile inline once the block proves hot. *)
           if
             p.Tier.state = Tier.Cold
             && t.config.Config.jit_threshold > 0
             && node.Tbchain.exec_count >= t.config.Config.jit_threshold
-          then request_compile t node;
+          then promote t node;
           (match node.Tbchain.active with
           | Interp_only _ ->
               Obs.Flight.record g.gflight Obs.Flight.Block_enter g.pc 0;
@@ -1140,26 +940,18 @@ let hot_blocks ?limit t =
   in
   Obs.Profile.rank ?limit entries
 
-(* One-line run summary for CLIs.  The core fields are printed
+(* One-line run summary for CLIs.  Every field is printed
    unconditionally — in particular [interp-fallbacks], so a clean run
-   is distinguishable from a run where degradation went unreported.
-   The two install-queue fields are zero-suppressed and named after
-   their gauges ([installs_dropped] / [install_hwm]): most runs never
-   drop an install, and a sync engine has no queue at all. *)
+   is distinguishable from a run where degradation went unreported. *)
 let stats_line t g =
   let s = t.stats in
   Printf.sprintf
     "cycles=%d blocks=%d executed=%d chained=%d chain-hits=%d \
      jcache-hits=%d superblocks=%d interp-fallbacks=%d traps=%d \
-     cache-quarantined=%d interp-execs=%d tier1-installed=%d deopts=%d%s%s"
+     cache-quarantined=%d interp-execs=%d tier1-installed=%d deopts=%d"
     g.arm.Arm.Machine.cycles s.blocks_translated s.blocks_executed s.chained
     s.chain_hits s.jmp_cache_hits s.superblocks s.interp_fallbacks s.traps
     s.cache_quarantined s.interp_execs s.tier1_installed s.deopts
-    (if s.installs_dropped > 0 then
-       Printf.sprintf " installs-dropped=%d" s.installs_dropped
-     else "")
-    (if s.install_hwm > 0 then Printf.sprintf " install-hwm=%d" s.install_hwm
-     else "")
 
 (* Publish the hot-path dispatch counters (kept as plain mutable fields
    so dispatch pays nothing for them) into the metrics registry as
@@ -1184,12 +976,7 @@ let publish_metrics t =
     set "engine.stats.cache_quarantined" s.cache_quarantined;
     set "engine.stats.interp_execs" s.interp_execs;
     set "engine.stats.tier1_installed" s.tier1_installed;
-    set "engine.stats.deopts" s.deopts;
-    set "engine.stats.installs_dropped" s.installs_dropped;
-    set "engine.stats.install_hwm" s.install_hwm;
-    Tier.publish ~interp_execs:s.interp_execs ~installed:s.tier1_installed
-      ~superblocks:s.superblocks ~deopts:s.deopts ~queue_hwm:s.install_hwm
-      ~dropped:s.installs_dropped
+    set "engine.stats.deopts" s.deopts
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1352,13 +1139,11 @@ let load_cache t path =
   with
   | staged, quarantined ->
       (* Loaded translations replace whatever the engine had patched
-         jumps into: discard queued installs, then unchain everything
-         (bumping the generation, so per-thread jump caches, pending
-         chained targets and in-flight background compiles all die)
-         before installing the staged blocks.  [clear_links] also
-         resets every surviving node's tier profile — a resumed run
-         must not promote on counters trained before the reload. *)
-      discard_pending_installs t;
+         jumps into: unchain everything (bumping the generation, so
+         per-thread jump caches and pending chained targets die) before
+         installing the staged blocks.  [clear_links] also resets every
+         surviving node's tier profile — a resumed run must not promote
+         on counters trained before the reload. *)
       Tbchain.clear_links t.tbs;
       Hashtbl.iter
         (fun pc code ->

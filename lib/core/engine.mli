@@ -16,10 +16,9 @@
     {b Tier ladder.}  With [config.jit_threshold > 0] fresh blocks
     start on the TCG interpreter (tier 0) while a {!Tier} profile
     accumulates execution and branch-outcome counters; crossing the
-    threshold requests a backend compile — inline when
-    [config.sync_compile], otherwise on a background
-    {!Parallel.Pool.service} with the result published between
-    dispatches under a generation check (tier 1).  With
+    threshold backend-compiles the block inline on the execution thread
+    and publishes the native TB before the dispatch that crossed it
+    runs (tier 1).  With
     [config.trace_threshold > 0], hot block heads whose profile shows a
     dominant observed successor get that path stitched into a
     superblock and re-optimized across the former block boundaries
@@ -66,21 +65,14 @@ type stats = {
           just retranslates on first execution *)
   mutable interp_execs : int;
       (** dispatches served by the TCG interpreter: tier-0 executions
-          (block not yet past [config.jit_threshold], or its compile
-          still in flight) plus degraded blocks *)
+          (block not yet past [config.jit_threshold]) plus degraded
+          blocks *)
   mutable tier1_installed : int;
-      (** compile requests whose native TB was published into the chain
-          table (tier 1) *)
+      (** tier-0 blocks compiled past [config.jit_threshold] whose
+          native TB was published into the chain table (tier 1) *)
   mutable deopts : int;
       (** superblocks demoted back to their tier-1 TB because the
           observed side-exit rate regressed *)
-  mutable installs_dropped : int;
-      (** compile results discarded because {!reset} / {!load_cache}
-          bumped the chain generation while they were queued or in
-          flight *)
-  mutable install_hwm : int;
-      (** install-queue depth high-water mark (background service
-          depth at submit, or pending completions at publish) *)
 }
 
 (** Engine log source ([risotto.engine]): [info] logs translations,
@@ -114,17 +106,9 @@ type guest_thread = {
 (** Create an engine.  [idl] defaults to the full host-library IDL when
     the config enables the linker; pass [~idl:[]] to disable linking of
     everything.  The engine's fault-injection state is built from
-    [config.inject].
-
-    [install_service] supplies the background translation service for
-    async-tiered configs ([jit_threshold > 0] and [sync_compile =
-    false]); by default such engines share one lazily spawned
-    process-wide service.  Ignored (and never spawned) for synchronous
-    configs.  Tests inject their own service to control background
-    scheduling. *)
+    [config.inject]. *)
 val create :
-  ?cost:Arm.Cost.t -> ?idl:Linker.Idl.signature list ->
-  ?install_service:Parallel.Pool.service -> Config.t ->
+  ?cost:Arm.Cost.t -> ?idl:Linker.Idl.signature list -> Config.t ->
   Image.Gelf.t -> t
 
 val config : t -> Config.t
@@ -151,17 +135,10 @@ val spawn :
 val fetch : t -> int64 -> compiled
 
 (** Flush the translation caches: every block, patched chain edge,
-    superblock and per-block tier profile is dropped, queued installs
-    are discarded (counted in [stats.installs_dropped]), and the chain
-    generation is bumped so stale per-thread dispatch state — and any
-    background compile still in flight — can never fire. *)
+    superblock and per-block tier profile is dropped, and the chain
+    generation is bumped so stale per-thread dispatch state can never
+    fire. *)
 val reset : t -> unit
-
-(** Block until every queued background compile has finished, then
-    publish (or drop, on a generation mismatch) the results.  No-op for
-    synchronous engines.  Call before reading tier stats after an
-    async-tiered run, or to quiesce the shared service in tests. *)
-val drain_installs : t -> unit
 
 (** Current chain-table generation; bumped by {!reset} and by a
     successful {!load_cache} (both invalidate patched edges). *)
@@ -234,12 +211,9 @@ val trap : guest_thread -> Fault.t option
 val hot_blocks : ?limit:int -> t -> Obs.Profile.entry list
 
 (** One-line run summary for CLIs: guest cycles of [g] plus the engine
-    counters.  The core fields are printed unconditionally — in
-    particular [interp-fallbacks=0] on a clean run, so silent
-    degradation is impossible to confuse with "not reported".  The
-    install-queue fields ([installs-dropped] / [install-hwm], named for
-    their gauges) are zero-suppressed: they only appear when an install
-    was actually dropped or queued. *)
+    counters.  Every field is printed unconditionally — in particular
+    [interp-fallbacks=0] on a clean run, so silent degradation is
+    impossible to confuse with "not reported". *)
 val stats_line : t -> guest_thread -> string
 
 (** {2 Flight recorder and postmortems}
@@ -247,7 +221,8 @@ val stats_line : t -> guest_thread -> string
     Every guest thread carries an always-on {!Obs.Flight} ring of its
     recent lifecycle events (block entries, trap, watchdog), and the
     engine keeps one more for events not owned by a single thread
-    (tier publishes and drops, superblocks, deopts, fence passes).
+    (tier publishes and degradations, superblocks, deopts, fence
+    passes).
     When a postmortem directory is configured, any trap or watchdog
     exhaustion dumps a deterministic JSON artifact combining the rings
     with tier states, fence ledgers and a metrics slice. *)

@@ -6,12 +6,10 @@
    interpreter has run it, and a two-slot inline counter of observed
    static-exit successors that drives both tier-2 trace formation and
    the Obs hot-block "heat" ranking.  Everything here is plain mutable
-   state touched only by the execution thread; the background compile
-   domain never sees a profile. *)
+   state touched only by the execution thread. *)
 
 type state =
   | Cold  (* tier 0: interpreting, accumulating profile *)
-  | Queued  (* compile requested; still interpreting until published *)
   | Published  (* tier 1+: native TB installed *)
   | Degraded  (* backend refused the block; interpreter permanently *)
 
@@ -140,26 +138,10 @@ let note_deopt p =
 let retry_allowed p = p.deopt_count < max_deopts
 
 (* Cold-path event counters under tier.*; the hot per-exec figures
-   (interp executions, queue depth) are published as gauges by
-   [Engine.publish_metrics] instead of being counted live. *)
+   (interp executions, installs, superblocks, deopts) are published as
+   engine.stats.* gauges by [Engine.publish_metrics] instead. *)
 let m_requests = lazy (Obs.Metrics.counter "tier.compile_requests")
 let m_installs = lazy (Obs.Metrics.counter "tier.installs")
 let m_install_failures = lazy (Obs.Metrics.counter "tier.install_failures")
-let m_installs_dropped = lazy (Obs.Metrics.counter "tier.installs_dropped")
 let m_promotions = lazy (Obs.Metrics.counter "tier.promotions")
 let m_deopts = lazy (Obs.Metrics.counter "tier.deopts")
-
-let g_interp_execs = lazy (Obs.Metrics.gauge "tier.interp_execs")
-let g_installed = lazy (Obs.Metrics.gauge "tier.installed")
-let g_superblocks = lazy (Obs.Metrics.gauge "tier.superblocks")
-let g_deopts = lazy (Obs.Metrics.gauge "tier.deopts")
-let g_queue_hwm = lazy (Obs.Metrics.gauge "tier.queue_hwm")
-let g_dropped = lazy (Obs.Metrics.gauge "tier.installs_dropped")
-
-let publish ~interp_execs ~installed ~superblocks ~deopts ~queue_hwm ~dropped =
-  Obs.Metrics.set (Lazy.force g_interp_execs) interp_execs;
-  Obs.Metrics.set (Lazy.force g_installed) installed;
-  Obs.Metrics.set (Lazy.force g_superblocks) superblocks;
-  Obs.Metrics.set (Lazy.force g_deopts) deopts;
-  Obs.Metrics.set (Lazy.force g_queue_hwm) queue_hwm;
-  Obs.Metrics.set (Lazy.force g_dropped) dropped

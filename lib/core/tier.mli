@@ -4,20 +4,17 @@
     Every {!Tbchain} node carries one {!profile}.  The execution thread
     is its only writer: it records the block's observed static-exit
     successors and interpreter executions while the block is cold,
-    drives the compile-request state machine when the block crosses
+    moves it up the ladder when the block crosses
     [Config.jit_threshold], and tracks superblock side-exit rates for
-    demotion.  The background compile domain never reads or writes a
-    profile — publication goes through the engine's install queue and
-    is generation-checked there, which is what keeps this module free
-    of any synchronisation. *)
+    demotion.  No other thread touches a profile, so this module needs
+    no synchronisation. *)
 
-(** Where the block sits on the ladder.  [Cold] and [Queued] both
-    execute through the TCG interpreter; [Queued] additionally has a
-    compile request in flight and must not enqueue another.
-    [Published] means a native TB was installed (tier 1, or tier 2 once
-    a superblock is stitched on top).  [Degraded] is terminal: the
-    backend refused the block and the interpreter serves it forever. *)
-type state = Cold | Queued | Published | Degraded
+(** Where the block sits on the ladder.  [Cold] executes through the
+    TCG interpreter.  [Published] means a native TB was installed
+    (tier 1, or tier 2 once a superblock is stitched on top).
+    [Degraded] is terminal: the backend refused the block and the
+    interpreter serves it forever. *)
+type state = Cold | Published | Degraded
 
 type profile = {
   mutable state : state;
@@ -90,24 +87,12 @@ val retry_allowed : profile -> bool
 (** {2 Metrics}
 
     Cold-path event counters under [tier.*]; incremented by the engine
-    at request / install / promotion / demotion time. *)
+    at compile / install / promotion / demotion time.  The aggregate
+    figures are published once, as [engine.stats.*] gauges, by
+    [Engine.publish_metrics]. *)
 
 val m_requests : Obs.Metrics.counter Lazy.t
 val m_installs : Obs.Metrics.counter Lazy.t
 val m_install_failures : Obs.Metrics.counter Lazy.t
-val m_installs_dropped : Obs.Metrics.counter Lazy.t
 val m_promotions : Obs.Metrics.counter Lazy.t
 val m_deopts : Obs.Metrics.counter Lazy.t
-
-(** Publish the aggregate tier gauges ([tier.interp_execs],
-    [tier.installed], [tier.superblocks], [tier.deopts],
-    [tier.queue_hwm], [tier.installs_dropped]); called from
-    [Engine.publish_metrics]. *)
-val publish :
-  interp_execs:int ->
-  installed:int ->
-  superblocks:int ->
-  deopts:int ->
-  queue_hwm:int ->
-  dropped:int ->
-  unit

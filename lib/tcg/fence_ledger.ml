@@ -24,16 +24,37 @@ let outcome_name = function
   | Dropped -> "dropped"
   | Strengthened _ -> "strengthened"
 
-(* fence.<kind>.<outcome> counters, registered on first use.  Recording
-   happens on the (cold) translation path, so a per-record name lookup
-   is acceptable; Metrics registration is idempotent by name. *)
+let outcome_index = function
+  | Emitted -> 0
+  | Kept -> 1
+  | Merged _ -> 2
+  | Dropped -> 3
+  | Strengthened _ -> 4
+
+(* fence.<kind>.<outcome> counter ids: one small (kind, id) list per
+   outcome, each id resolved (registered) the first time that pair is
+   recorded, so registration happens exactly when it would with a
+   per-record name lookup, without its string building and registry
+   lock.  Lists are swapped whole; a racing domain can only lose an
+   entry, which the next record re-resolves to the same id (Metrics
+   registration is idempotent by name). *)
+let counter_ids = Array.init 5 (fun _ -> Atomic.make [])
+
 let counter_for kind outcome =
-  Obs.Metrics.counter
-    ("fence." ^ Axiom.Event.fence_name kind ^ "." ^ outcome_name outcome)
+  let slot = counter_ids.(outcome_index outcome) in
+  match List.assq_opt kind (Atomic.get slot) with
+  | Some id -> id
+  | None ->
+      let id =
+        Obs.Metrics.counter
+          ("fence." ^ Axiom.Event.fence_name kind ^ "." ^ outcome_name outcome)
+      in
+      Atomic.set slot ((kind, id) :: Atomic.get slot);
+      id
 
 let record t ~pass ~kind ~origin outcome =
   t.entries <- { pass; kind; origin; outcome } :: t.entries;
-  Obs.Metrics.add (counter_for kind outcome) 1
+  Obs.Metrics.incr (counter_for kind outcome)
 
 let count t outcome_name' =
   List.length

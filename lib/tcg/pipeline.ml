@@ -26,61 +26,31 @@ let pass_hists =
 
 let pass_hist p = List.assq p (Lazy.force pass_hists)
 
-let fences ops =
-  List.filter_map
-    (function Op.Mb (f, o) -> Some (f, o) | _ -> None)
+(* Record every barrier still in [ops] under one outcome.  Only
+   Fence_merge removes or rewrites barriers (it does its own ledger
+   accounting); Const_fold, Mem_elim and Dce keep the multiset of
+   [Mb (kind, origin)] unchanged — Mb is impure and writes nothing —
+   which test_tcg pins as a property.  So the ledger needs just the
+   frontend's fences on the way in and the survivors on the way out. *)
+let record_fences l ~pass outcome ops =
+  List.iter
+    (function
+      | Op.Mb (kind, origin) ->
+          Fence_ledger.record l ~pass ~kind ~origin outcome
+      | _ -> ())
     ops
-
-(* Multiset difference: fences present before a pass but absent after
-   it.  Fence_merge does its own ledger accounting; this catches any
-   other pass that deletes a barrier (none do today — Mb is impure and
-   writes nothing, so Dce and Memopt keep it — but a future pass that
-   does will be attributed instead of vanishing silently). *)
-let diff_dropped before after =
-  let remaining = ref after in
-  List.filter
-    (fun fo ->
-      let rec remove = function
-        | [] -> None
-        | fo' :: rest when fo' = fo -> Some rest
-        | fo' :: rest -> Option.map (fun r -> fo' :: r) (remove rest)
-      in
-      match remove !remaining with
-      | Some rest ->
-          remaining := rest;
-          false
-      | None -> true)
-    before
 
 let run ?ledger passes (b : Block.t) =
   (* Always account into a ledger so the fence.* metrics counters flow
      even when no caller keeps the per-block provenance. *)
   let l = match ledger with Some l -> l | None -> Fence_ledger.create () in
-  List.iter
-    (fun (f, o) -> Fence_ledger.record l ~pass:"frontend" ~kind:f ~origin:o
-        Fence_ledger.Emitted)
-    (fences b.ops);
+  record_fences l ~pass:"frontend" Fence_ledger.Emitted b.ops;
   let ops =
     List.fold_left
       (fun ops p ->
-        let before = if p = Fence_merge then [] else fences ops in
-        let ops' =
-          Obs.Trace.with_span ~cat:"opt" (pass_name p) (fun () ->
-              Obs.Profile.time (pass_hist p) (fun () ->
-                  run_pass ~ledger:l p ops))
-        in
-        if p <> Fence_merge then
-          List.iter
-            (fun (f, o) ->
-              Fence_ledger.record l ~pass:(pass_name p) ~kind:f ~origin:o
-                Fence_ledger.Dropped)
-            (diff_dropped before (fences ops'));
-        ops')
+        Obs.Trace.with_span ~cat:"opt" (pass_name p) (fun () ->
+            Obs.Profile.time (pass_hist p) (fun () -> run_pass ~ledger:l p ops)))
       b.ops passes
   in
-  List.iter
-    (fun (f, o) ->
-      Fence_ledger.record l ~pass:"pipeline" ~kind:f ~origin:o
-        Fence_ledger.Kept)
-    (fences ops);
+  record_fences l ~pass:"pipeline" Fence_ledger.Kept ops;
   { b with ops }

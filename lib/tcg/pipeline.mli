@@ -19,8 +19,8 @@ val run_pass : ?ledger:Fence_ledger.t -> pass -> Op.t list -> Op.t list
     transformation itself.
 
     Fence provenance: the block's initial barriers are recorded as
-    [Emitted], barriers a pass deletes as [Dropped] (with {!Fenceopt}
-    doing its own finer-grained merge accounting), and the final
-    survivors as [Kept] — into [ledger] when given, and into the
+    [Emitted] and the final survivors as [Kept]; in between, only
+    {!Fenceopt} touches barriers and records its own merges, drops and
+    strengthenings.  Entries go into [ledger] when given, and into the
     [fence.<kind>.<outcome>] {!Obs.Metrics} counters always. *)
 val run : ?ledger:Fence_ledger.t -> pass list -> Block.t -> Block.t

@@ -356,6 +356,32 @@ let prop_fence_merge_never_increases =
       let full = ops @ [ Op.Goto_tb 0L ] in
       Tcg.Fenceopt.count (Tcg.Fenceopt.run full) <= Tcg.Fenceopt.count full)
 
+(* Only Fence_merge may remove or rewrite a barrier: every other pass
+   keeps the multiset of [Mb (kind, origin)] intact, which is why
+   Pipeline.run records no per-pass fence drops.  Each generated fence
+   gets its own origin so a pass that swapped two barriers' provenance
+   would show. *)
+let prop_non_fence_passes_keep_fences =
+  let stamp ops =
+    List.mapi
+      (fun i op ->
+        match op with
+        | Op.Mb (f, _) ->
+            Op.mb ~origin:{ Op.opc = Int64.of_int i; rule = Op.R_store } f
+        | op -> op)
+      ops
+  in
+  let fences ops =
+    List.sort compare
+      (List.filter_map (function Op.Mb fo -> Some fo | _ -> None) ops)
+  in
+  QCheck.Test.make ~name:"non-fence passes keep every fence and its origin"
+    ~count:300 arb_ops (fun ops ->
+      let full = stamp ops @ [ Op.Goto_tb 0L ] in
+      List.for_all
+        (fun p -> fences (Tcg.Pipeline.run_pass p full) = fences full)
+        Tcg.Pipeline.[ Const_fold; Mem_elim; Dce ])
+
 let () =
   Alcotest.run "tcg"
     [
@@ -412,5 +438,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_pipeline_preserves_semantics;
           QCheck_alcotest.to_alcotest prop_fence_merge_never_increases;
+          QCheck_alcotest.to_alcotest prop_non_fence_passes_keep_fences;
         ] );
     ]

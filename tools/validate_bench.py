@@ -147,13 +147,6 @@ def cmd_obs(bench_path, trace_path):
             f"{bench_path}: fence_merged_ratio {ratio} does not match "
             f"ledger counters ({expect:.4f})"
         )
-    # Tier-lifecycle latency: the async pass must have published real
-    # installs and the percentiles must be positive and ordered.
-    lat = j["install_latency"]
-    if lat["count"] <= 0:
-        fail(f"{bench_path}: no request-to-publish latency samples")
-    if not (0 < lat["p50_ns"] <= lat["p95_ns"] <= lat["p99_ns"]):
-        fail(f"{bench_path}: install latency percentiles not ordered: {lat}")
     trace = load(trace_path)
     evs = trace.get("traceEvents", [])
     if not evs:
@@ -170,8 +163,7 @@ def cmd_obs(bench_path, trace_path):
         f"obs OK: {len(evs)} events, categories {sorted(cats)}, "
         f"disabled overhead {j['disabled_overhead_pct']:.3f}%, "
         f"recorder {j['recorder_overhead_pct']:.3f}%, "
-        f"merged ratio {ratio:.3f}, "
-        f"install p95 {lat['p95_ns']} ns ({lat['count']} samples)"
+        f"merged ratio {ratio:.3f}"
     )
 
 
@@ -276,11 +268,15 @@ def cmd_tiers(path):
     check_envelope(j, path, "tiers")
     if not j["results_identical"]:
         fail(f"{path}: tier0/sync-all/tiered guest results diverge")
+    # The ladder compiles on the execution thread, so every rep of the
+    # tiered config must reproduce the same guest cycles.
+    if not j["tiered_cycles_identical"]:
+        fail(f"{path}: tiered guest cycles differ between reps")
     ti, sy = j["tiered"], j["sync_all"]
     if ti["interp_execs"] == 0:
         fail(f"{path}: tiered run never executed on the interpreter (tier 0)")
     if ti["tier1_installed"] == 0:
-        fail(f"{path}: no background compile was ever published (tier 1)")
+        fail(f"{path}: no tier-1 compile was ever published")
     if ti["superblocks"] == 0:
         fail(f"{path}: no profile-guided superblock was formed (tier 2)")
     if ti["cycles_per_block"] > sy["cycles_per_block"]:
@@ -301,7 +297,8 @@ def cmd_tiers(path):
         f"tiers OK: {ti['tier1_installed']} installs, "
         f"{ti['superblocks']} superblocks, "
         f"{ti['cycles_per_block']:.1f} vs {sy['cycles_per_block']:.1f} "
-        f"cycles/block, cold start {cold['speedup']:.2f}x, parity holds"
+        f"cycles/block, cold start {cold['speedup']:.2f}x, parity holds, "
+        f"tiered cycles identical across {j['reps']} reps"
     )
 
 
